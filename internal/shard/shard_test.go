@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -283,6 +284,14 @@ func TestShardedConfigValidation(t *testing.T) {
 		if _, err := Open(cfg); err == nil {
 			t.Errorf("mutation %d: Open accepted an invalid config", i)
 		}
+	}
+
+	// Only the journal engine can be sharded; an LSM base used to pass
+	// validation and then crash Run with a nil dereference.
+	lsm := good
+	lsm.Base.Engine = "lsm"
+	if err := lsm.Validate(); err == nil || !strings.Contains(err.Error(), `"lsm"`) {
+		t.Errorf("Validate with Base.Engine lsm = %v, want an error naming the engine", err)
 	}
 }
 

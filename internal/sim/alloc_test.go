@@ -74,3 +74,47 @@ func TestAtCompleteOrder(t *testing.T) {
 		t.Fatal("AtComplete did not complete its futures")
 	}
 }
+
+// TestProcSwitchAllocs guards the process-switch budget: once the queues
+// have grown, a process that blocks in Sleep, Wait and Semaphore.Acquire and
+// is resumed by the engine must not allocate. Every simulated client thread
+// switches this way several times per query.
+func TestProcSwitchAllocs(t *testing.T) {
+	const warm, runs = 10, 100
+	e := NewEngine()
+	sem := NewSemaphore(e, 0)
+	release := sem.Release
+	futs := make([]*Future, 2*(warm+runs))
+	for i := range futs {
+		futs[i] = NewFuture(e)
+	}
+	iters := 0
+	e.Go("switcher", func(p *Proc) {
+		// One iteration spans 3 ns of virtual time: one switch each
+		// through Sleep, Wait and a contended Acquire.
+		for _, f := range futs {
+			p.Sleep(1)
+			e.AtComplete(p.Now()+1, f)
+			p.Wait(f)
+			e.Schedule(1, release)
+			sem.Acquire(p)
+			iters++
+		}
+	})
+	step := func() { e.RunUntil(e.Now() + 3) }
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	before := iters
+	if n := testing.AllocsPerRun(runs, step); n != 0 {
+		t.Fatalf("steady-state Sleep/Wait/Acquire switches allocate %.2f/iteration, want 0", n)
+	}
+	// AllocsPerRun makes one extra warm-up call.
+	if got := iters - before; got != runs+1 {
+		t.Fatalf("process ran %d iterations during measurement, want %d", got, runs+1)
+	}
+	e.Run()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after run, want 0", e.LiveProcs())
+	}
+}

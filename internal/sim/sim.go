@@ -14,13 +14,14 @@
 //     and Wait on Futures. Processes express closed-loop clients (a YCSB
 //     thread issuing queries back-to-back) as straight-line code.
 //
-// Only one goroutine executes at a time: the engine and each process hand
-// control to each other through a strict channel handshake, so execution
-// order — and therefore every simulation result — is deterministic.
+// Each process is an iter.Pull coroutine: the engine resumes it and it
+// yields back, so exactly one of {engine, process} runs at a time and
+// execution order — and therefore every simulation result — is deterministic.
 package sim
 
 import (
 	"fmt"
+	"iter"
 )
 
 // VTime is a point in (or duration of) virtual time, in nanoseconds.
@@ -425,7 +426,7 @@ func (e *Engine) State() EngineState {
 // periodic events belong at the restored instant; because the sequence
 // counter is restored too, re-created events draw the same tie-break numbers
 // they had on the original timeline, keeping same-time ordering identical.
-// Restoring with live processes panics: their goroutine stacks reference the
+// Restoring with live processes panics: their coroutine stacks reference the
 // discarded timeline and cannot be rewound.
 func (e *Engine) Restore(s EngineState) {
 	if e.liveProcs != 0 {
@@ -449,17 +450,19 @@ func (e *Engine) Restore(s EngineState) {
 	e.extHorizon = maxVTime
 }
 
-// A Proc is a cooperative simulated process. All its methods must be called
-// from the process's own goroutine (inside the function passed to Engine.Go).
+// A Proc is a cooperative simulated process, run as an iter.Pull coroutine.
+// All its methods must be called from inside the function passed to
+// Engine.Go.
 type Proc struct {
 	eng  *Engine
 	name string
 
-	// hand is the single handshake channel both directions share. Strict
-	// alternation (exactly one of {engine, process} runs at a time) keeps
-	// the pairing unambiguous: whoever is handing control away sends, the
-	// other side is always parked in a receive.
-	hand chan struct{}
+	// resume (the coroutine's pull next) runs the body until it yields or
+	// returns; yield parks the body and hands control back to the event
+	// that resumed it. A panic in the body surfaces from resume, so it
+	// reaches the caller of Run.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 
 	// switchFn caches the switchTo method value so scheduling a wake-up
 	// (Sleep, Wait, Semaphore.Acquire) does not allocate a new closure per
@@ -479,33 +482,26 @@ func (p *Proc) Now() VTime { return p.eng.now }
 // Go starts a new process at the current virtual time. The process body runs
 // when the engine reaches the scheduling event; it may call Sleep and Wait.
 func (e *Engine) Go(name string, fn func(p *Proc)) {
-	p := &Proc{eng: e, name: name, hand: make(chan struct{})}
+	p := &Proc{eng: e, name: name}
 	p.switchFn = p.switchTo
 	e.liveProcs++
 	e.Schedule(0, func() {
-		go func() {
-			<-p.hand
+		p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			fn(p)
 			e.liveProcs--
-			p.hand <- struct{}{}
-		}()
+		})
 		p.switchTo()
 	})
 }
 
-// switchTo transfers control into the process and blocks the caller (which
-// is executing an engine event) until the process blocks or terminates.
-func (p *Proc) switchTo() {
-	p.hand <- struct{}{}
-	<-p.hand
-}
+// switchTo transfers control into the process and returns, inside the
+// calling engine event, once the process blocks or terminates.
+func (p *Proc) switchTo() { p.resume() }
 
 // block parks the process until something calls switchTo on it. The wake-up
 // must already be scheduled before calling block.
-func (p *Proc) block() {
-	p.hand <- struct{}{}
-	<-p.hand
-}
+func (p *Proc) block() { p.yield(struct{}{}) }
 
 // Sleep suspends the process for d units of virtual time.
 func (p *Proc) Sleep(d VTime) {
