@@ -52,55 +52,70 @@ type jmtEntry struct {
 	committed bool // the log has been durably written
 }
 
+// jmtChunk is the number of entries carved from one arena allocation.
+const jmtChunk = 512
+
 // JMT is the journal mapping table for one journal half: an append-only
 // entry log plus a latest-version index.
 type JMT struct {
 	entries []*jmtEntry
-	latest  map[int64]*jmtEntry
-	live    int // entries with old == false
+	// latest holds, per key, 1 + the index in entries of the key's newest
+	// entry, or 0 when the key has none. Keys are dense record numbers, so
+	// a slice sized to the key space replaces a hash map.
+	latest []int32
+	live   int // entries with old == false
+	// arena is the chunk new entries are carved from: Add allocates once
+	// per jmtChunk entries instead of once per entry. A retired table's
+	// chunks go to the garbage collector with it.
+	arena []jmtEntry
 }
 
-// NewJMT returns an empty table.
-func NewJMT() *JMT {
-	return &JMT{latest: make(map[int64]*jmtEntry)}
+// NewJMT returns an empty table for keys [0, keys).
+func NewJMT(keys int64) *JMT {
+	return &JMT{latest: make([]int32, keys)}
 }
 
-// Add appends a new entry, marking any previous entry for the same key OLD.
-func (t *JMT) Add(e *jmtEntry) {
-	if prev, ok := t.latest[e.key]; ok {
-		prev.old = true
+// Add appends a copy of e, marking any previous entry for the same key
+// OLD, and returns the table's entry.
+func (t *JMT) Add(e jmtEntry) *jmtEntry {
+	if len(t.arena) == cap(t.arena) {
+		t.arena = make([]jmtEntry, 0, jmtChunk)
+	}
+	t.arena = append(t.arena, e)
+	ne := &t.arena[len(t.arena)-1]
+	if i := t.latest[e.key]; i != 0 {
+		t.entries[i-1].old = true
 		t.live--
 	}
-	t.entries = append(t.entries, e)
-	t.latest[e.key] = e
+	t.entries = append(t.entries, ne)
+	t.latest[e.key] = int32(len(t.entries))
 	t.live++
+	return ne
 }
 
-// clone returns a deep copy of the table. The latest index points at the
-// same entry objects as the append log, so cloning goes through an identity
-// map: each source entry is copied exactly once and the copy is shared by
-// both structures, preserving the aliasing Add relies on when it flips a
-// previous entry's OLD flag.
+// clone returns a deep copy of the table. The latest index holds positions,
+// not pointers, so it copies as is.
 func (t *JMT) clone() *JMT {
 	out := &JMT{
 		entries: make([]*jmtEntry, len(t.entries)),
-		latest:  make(map[int64]*jmtEntry, len(t.latest)),
+		latest:  append([]int32(nil), t.latest...),
 		live:    t.live,
 	}
-	remap := make(map[*jmtEntry]*jmtEntry, len(t.entries))
+	copies := make([]jmtEntry, len(t.entries))
 	for i, e := range t.entries {
-		ce := *e
-		out.entries[i] = &ce
-		remap[e] = &ce
-	}
-	for k, e := range t.latest {
-		out.latest[k] = remap[e]
+		copies[i] = *e
+		out.entries[i] = &copies[i]
 	}
 	return out
 }
 
 // Latest returns the newest entry for key, or nil.
-func (t *JMT) Latest(key int64) *jmtEntry { return t.latest[key] }
+func (t *JMT) Latest(key int64) *jmtEntry {
+	if i := t.latest[key]; i != 0 {
+		return t.entries[i-1]
+	}
+	return nil
+}
 
 // Entries returns the full append log (including OLD entries).
 func (t *JMT) Entries() []*jmtEntry { return t.entries }

@@ -52,10 +52,19 @@ type journal struct {
 
 	jmt *JMT
 
-	pending        []*jmtEntry
+	pending []*jmtEntry
+	// pendingBytes is the running sum of logBound over pending.
+	pendingBytes   int64
 	nextBatch      *sim.Future
 	commitInFlight bool
 	inFlightDone   *sim.Future
+	// inFlight is the batch being committed and inFlightLen its laid-out
+	// length; commitDone is onCommitDone, bound once. spare is the last
+	// committed batch's emptied buffer, reused for the next pending batch.
+	inFlight    []*jmtEntry
+	inFlightLen int64
+	spare       []*jmtEntry
+	commitDone  func()
 	// cutting suspends commit auto-chaining while a checkpoint rotates
 	// the halves, so the old half's final batch can be flushed without
 	// new arrivals extending it forever.
@@ -71,7 +80,7 @@ type journal struct {
 }
 
 func newJournal(eng *sim.Engine, dev *ssd.Device, layout *Layout, aligned bool, header int64, compress float64) *journal {
-	return &journal{
+	j := &journal{
 		eng:      eng,
 		dev:      dev,
 		layout:   layout,
@@ -79,8 +88,10 @@ func newJournal(eng *sim.Engine, dev *ssd.Device, layout *Layout, aligned bool, 
 		unit:     int64(dev.FTL().UnitSize()),
 		header:   header,
 		compress: compress,
-		jmt:      NewJMT(),
+		jmt:      NewJMT(layout.Keys()),
 	}
+	j.commitDone = j.onCommitDone
+	return j
 }
 
 // UsedBytes returns bytes consumed in the active half (committed plus
@@ -89,24 +100,19 @@ func (j *journal) UsedBytes() int64 { return j.head }
 
 // UsedFrac returns the active half's fill fraction.
 func (j *journal) UsedFrac() float64 {
-	return float64(j.head+j.pendingEstimate()) / float64(j.layout.JournalHalfBytes)
+	return float64(j.head+j.pendingBytes) / float64(j.layout.JournalHalfBytes)
 }
 
-// pendingEstimate upper-bounds the journal bytes the buffered logs will
-// need once laid out.
-func (j *journal) pendingEstimate() int64 {
-	var sum int64
-	for _, e := range j.pending {
-		sum += roundUp(int64(e.payload)+j.header, j.unit) + j.unit
-	}
-	return sum
+// logBound upper-bounds the journal bytes a buffered log of payload bytes
+// will need once laid out.
+func (j *journal) logBound(payload int) int64 {
+	return roundUp(int64(payload)+j.header, j.unit) + j.unit
 }
 
 // WouldOverflow reports whether appending a log of payload bytes risks
 // exceeding the active half.
 func (j *journal) WouldOverflow(payload int) bool {
-	need := roundUp(int64(payload)+j.header, j.unit) + j.unit
-	return j.head+j.pendingEstimate()+need > j.layout.JournalHalfBytes
+	return j.head+j.pendingBytes+j.logBound(payload) > j.layout.JournalHalfBytes
 }
 
 // Append buffers a journal log for key at the given version and returns its
@@ -117,15 +123,15 @@ func (j *journal) Append(key, version int64, payload int) (*jmtEntry, *sim.Futur
 	if payload > targetLen {
 		payload = targetLen
 	}
-	e := &jmtEntry{
+	e := j.jmt.Add(jmtEntry{
 		key:       key,
 		version:   version,
 		payload:   payload,
 		targetOff: targetOff,
 		targetLen: targetLen,
-	}
-	j.jmt.Add(e)
+	})
 	j.pending = append(j.pending, e)
+	j.pendingBytes += j.logBound(payload)
 	j.stats.Logs++
 	j.stats.PayloadBytes += uint64(payload)
 	if j.nextBatch == nil {
@@ -148,7 +154,8 @@ func (j *journal) startCommit() {
 	}
 	batch := j.pending
 	fut := j.nextBatch
-	j.pending = nil
+	j.pending, j.spare = j.spare, nil
+	j.pendingBytes = 0
 	j.nextBatch = nil
 
 	base := j.layout.JournalStart(j.active) + j.head
@@ -178,25 +185,32 @@ func (j *journal) commitBatch(batch []*jmtEntry, fut *sim.Future, base int64) in
 
 	// The flush's completion covers the write's durability: commands are
 	// serviced FIFO on the link and the flush forces the written pages out.
+	j.inFlight, j.inFlightLen = batch, length
 	j.dev.Write(base, length, ssd.AreaJournal)
-	ff := j.dev.Flush(ssd.AreaJournal)
-	ff.OnComplete(func() {
-		j.tracer.Emit(j.eng.Now(), trace.KindJournalCommit, length, "")
-		for _, e := range batch {
-			e.committed = true
-			if j.onCommit != nil {
-				j.onCommit(e.key, e.version)
-			}
-		}
-		j.injector.Hit(inject.SiteJournalCommit)
-		j.commitInFlight = false
-		j.inFlightDone = nil
-		fut.Complete()
-		if !j.cutting && len(j.pending) > 0 {
-			j.startCommit()
-		}
-	})
+	j.dev.Flush(ssd.AreaJournal).OnComplete(j.commitDone)
 	return length
+}
+
+// onCommitDone runs when the in-flight batch is durable: it marks the logs
+// committed, wakes their writers and chains the next buffered batch.
+func (j *journal) onCommitDone() {
+	batch, fut := j.inFlight, j.inFlightDone
+	j.tracer.Emit(j.eng.Now(), trace.KindJournalCommit, j.inFlightLen, "")
+	for _, e := range batch {
+		e.committed = true
+		if j.onCommit != nil {
+			j.onCommit(e.key, e.version)
+		}
+	}
+	j.injector.Hit(inject.SiteJournalCommit)
+	j.commitInFlight = false
+	j.inFlightDone = nil
+	clear(batch)
+	j.inFlight, j.spare = nil, batch[:0]
+	fut.Complete()
+	if !j.cutting && len(j.pending) > 0 {
+		j.startCommit()
+	}
 }
 
 // layoutConventional assigns contiguous offsets: each log is an inline
@@ -311,10 +325,11 @@ func (j *journal) CutForCheckpoint(p *sim.Proc) ckptSnapshot {
 	oldJmt, oldHalf, oldHead := j.jmt, j.active, j.head
 	oldPending, oldFut := j.pending, j.nextBatch
 
-	j.jmt = NewJMT()
+	j.jmt = NewJMT(j.layout.Keys())
 	j.active ^= 1
 	j.head = 0
 	j.pending = nil
+	j.pendingBytes = 0
 	j.nextBatch = nil
 
 	// wait for the batch already being written to the old half

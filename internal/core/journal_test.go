@@ -320,3 +320,66 @@ func TestWouldOverflow(t *testing.T) {
 			j.UsedBytes(), l.JournalHalfBytes)
 	}
 }
+
+// pendingSum recomputes, from the buffered batch, the bound the journal
+// keeps as a running sum in pendingBytes.
+func pendingSum(j *journal) int64 {
+	var sum int64
+	for _, e := range j.pending {
+		sum += j.logBound(e.payload)
+	}
+	return sum
+}
+
+func TestJournalPendingBytes(t *testing.T) {
+	e, dev := newStack(t, 512)
+	l := testLayout(t, dev, 100, 4096, 512)
+	j := newJournal(e, dev, l, true, 0, 0.85)
+	check := func(when string) {
+		t.Helper()
+		if got, want := j.pendingBytes, pendingSum(j); got != want {
+			t.Fatalf("after %s: pendingBytes %d, recomputed %d", when, got, want)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		j.Append(int64(i), 2, 100+i*300)
+		check("append")
+	}
+	if len(j.pending) == 0 {
+		t.Fatal("no logs buffered behind the in-flight commit")
+	}
+	e.Run()
+	check("commit")
+	if len(j.pending) != 0 {
+		t.Fatalf("%d logs still pending after the commits drained", len(j.pending))
+	}
+	for i := 0; i < 10; i++ {
+		j.Append(int64(i), 3, 700)
+	}
+	runProc(e, func(p *sim.Proc) {
+		j.CutForCheckpoint(p)
+		check("cut")
+		j.Append(1, 4, 200)
+		check("append after cut")
+	})
+	e.Run()
+	check("commit after cut")
+
+	// Snapshot restore drops whatever the target engine had buffered.
+	e1, en := newTestEngine(t, StrategyCheckIn, nil)
+	en.Load()
+	runProc(e1, func(p *sim.Proc) { en.Update(p, 7, 512) })
+	st, err := en.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, en2 := newTestEngine(t, StrategyCheckIn, nil)
+	en2.Load()
+	en2.jr.Append(3, 2, 512)
+	en2.jr.Append(4, 2, 512)
+	if err := en2.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	j = en2.jr
+	check("restore")
+}

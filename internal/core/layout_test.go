@@ -118,15 +118,12 @@ func (badSizer) SizeOf(int64) int { return 0 }
 func (badSizer) Name() string     { return "bad" }
 
 func TestJMTFlagTransitions(t *testing.T) {
-	jmt := NewJMT()
-	e1 := &jmtEntry{key: 7, version: 1}
-	e2 := &jmtEntry{key: 7, version: 2}
-	e3 := &jmtEntry{key: 9, version: 1}
-	jmt.Add(e1)
+	jmt := NewJMT(16)
+	e1 := jmt.Add(jmtEntry{key: 7, version: 1})
 	if jmt.Latest(7) != e1 || jmt.Live() != 1 {
 		t.Fatal("first add wrong")
 	}
-	jmt.Add(e2)
+	e2 := jmt.Add(jmtEntry{key: 7, version: 2})
 	if !e1.old {
 		t.Error("superseded entry not flagged OLD")
 	}
@@ -136,17 +133,17 @@ func TestJMTFlagTransitions(t *testing.T) {
 	if jmt.Latest(7) != e2 {
 		t.Error("latest not updated")
 	}
-	jmt.Add(e3)
+	jmt.Add(jmtEntry{key: 9, version: 1})
 	if jmt.Len() != 3 || jmt.Live() != 2 {
 		t.Errorf("Len=%d Live=%d, want 3/2", jmt.Len(), jmt.Live())
 	}
 	if r := jmt.LiveRatio(); r < 0.66 || r > 0.67 {
 		t.Errorf("LiveRatio = %v, want 2/3", r)
 	}
-	if jmt.Latest(12345) != nil {
+	if jmt.Latest(12) != nil {
 		t.Error("missing key returned an entry")
 	}
-	if NewJMT().LiveRatio() != 0 {
+	if NewJMT(16).LiveRatio() != 0 {
 		t.Error("empty table LiveRatio should be 0")
 	}
 }

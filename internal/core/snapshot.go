@@ -95,9 +95,11 @@ func (en *Engine) Restore(s *EngineState) error {
 	en.jr.stats = s.jrStats
 	en.jr.jmt = s.jmt.clone()
 	en.jr.pending = nil
+	en.jr.pendingBytes = 0
 	en.jr.nextBatch = nil
 	en.jr.commitInFlight = false
 	en.jr.inFlightDone = nil
+	en.jr.inFlight = nil
 	en.jr.cutting = false
 
 	en.ckptRunning = false

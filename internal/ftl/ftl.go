@@ -549,7 +549,7 @@ func New(eng *sim.Engine, array *nand.Array, cfg Config) (*FTL, error) {
 	if f.metaFlushAt == 0 {
 		f.metaFlushAt = geo.PageSize / 8
 	}
-	f.rlog = newRecoveryLog(totalSlots)
+	f.rlog = newRecoveryLog(totalSlots, int64(f.pagesPerBlk*f.slotsPerPage))
 	if cfg.FlashMap {
 		if err := f.initFlashMap(); err != nil {
 			return nil, err
@@ -1529,12 +1529,12 @@ func (f *FTL) migrateLive(b int) {
 		for _, lun := range luns[1:] {
 			f.shareSlot(lun, newSid)
 		}
-		f.rlog.preserveCopy(sid, newSid)
+		f.rlog.preserveCopy(sid, newSid, len(luns)-1)
 	}
 	// flush the GC stream's partial pages so the block is safe to erase
 	f.Sync(StreamGC, TagGC)
 	f.validCount[b] = 0
-	f.rlog.noteErase(base, int64(slotsPerBlock))
+	f.rlog.noteErase(b)
 }
 
 // HasCheapVictim reports whether background GC would find a cheap victim —

@@ -30,6 +30,10 @@ import (
 //  6. In dftl mode (Config.FlashMap) the cached mapping table, its LRU, the
 //     global translation directory and the flash-resident entry copies are
 //     mutually consistent — see fmCheckInvariants in dftl.go.
+//  7. A slot the allocator has not handed out since its block's last erase
+//     (offset at or past the block's written count) carries no OOB record
+//     and no alias record, and every alias record sits in its slot's block.
+//     This is why recording a fresh write never has older records to drop.
 func (f *FTL) CheckInvariants() error {
 	const maxViolations = 8
 	var violations []string
@@ -191,6 +195,24 @@ func (f *FTL) CheckInvariants() error {
 		}
 		if f.partial[s] != want {
 			report("stream %d partial marker %d, want %d", s, f.partial[s], want)
+		}
+	}
+
+	// 7: the recovery log holds nothing for unwritten slots.
+	for b := 0; b < f.totalBlocks; b++ {
+		base := f.slotID(b, 0, 0)
+		written := base + int64(f.written[b])
+		for sid := written; sid < base+int64(slotsPerBlock); sid++ {
+			if rec := f.rlog.oob[sid]; rec.seq != 0 {
+				report("unwritten slot %d (block %d, written %d) has OOB record lun %d seq %d", sid, b, f.written[b], rec.lun, rec.seq)
+				break
+			}
+		}
+		for _, a := range f.rlog.aliases[b] {
+			if a.sid < base || a.sid >= written {
+				report("block %d (written %d) lists alias record lun %d seq %d for slot %d", b, f.written[b], a.lun, a.seq, a.sid)
+				break
+			}
 		}
 	}
 

@@ -1,7 +1,9 @@
 package ftl
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/checkin-kv/checkin/internal/sim"
 )
@@ -27,23 +29,43 @@ type trimExtent struct {
 	seq         uint64
 }
 
+// aliasRecord binds a further logical unit to a slot (checkpoint remap).
+// seq 0 marks a record dropped before its block erased.
+type aliasRecord struct {
+	sid int64
+	lun int64
+	seq uint64
+}
+
 // recoveryLog is the FTL's persistent recovery state: primary OOB per slot,
 // alias records from remaps, and trim extents. In dftl mode each translation
 // page's OOB additionally records the tvpn it holds (tp, indexed by physical
 // page id; allocated only when the flash map is on), which is what rebuilds
 // the global translation directory after a sudden power-off.
 type recoveryLog struct {
-	seq     uint64
-	oob     []oobRecord           // indexed by slot id; seq 0 = never written
-	aliases map[int64][]oobRecord // slot id → alias bindings from remaps
-	trims   []trimExtent
-	tp      []int64 // pid → tvpn of the live translation page it holds (-1)
+	seq uint64
+	oob []oobRecord // indexed by slot id; seq 0 = never written
+	// aliases[b] lists block b's alias records in the order they were
+	// noted; an erase truncates the list in place.
+	aliases       [][]aliasRecord
+	slotsPerBlock int64
+	trims         []trimExtent
+	tp            []int64 // pid → tvpn of the live translation page it holds (-1)
+
+	// migrating is the block whose alias list preserveCopy last sorted by
+	// slot (-1: none), and migrateNext the index of the first record not
+	// yet consumed: the GC migrate pass moves a victim's slots in
+	// ascending order, so its records are consumed in one forward walk.
+	migrating   int
+	migrateNext int
 }
 
-func newRecoveryLog(totalSlots int64) *recoveryLog {
+func newRecoveryLog(totalSlots, slotsPerBlock int64) *recoveryLog {
 	return &recoveryLog{
-		oob:     make([]oobRecord, totalSlots),
-		aliases: make(map[int64][]oobRecord),
+		oob:           make([]oobRecord, totalSlots),
+		aliases:       make([][]aliasRecord, totalSlots/slotsPerBlock),
+		slotsPerBlock: slotsPerBlock,
+		migrating:     -1,
 	}
 }
 
@@ -52,24 +74,59 @@ func (r *recoveryLog) next() uint64 {
 	return r.seq
 }
 
+func (r *recoveryLog) block(sid int64) int { return int(sid / r.slotsPerBlock) }
+
+// noteWrite records sid's primary OOB. A slot is written only once between
+// erases, so it holds no earlier record to drop (CheckInvariants checks
+// that unwritten slots carry none).
 func (r *recoveryLog) noteWrite(sid, lun int64) {
 	r.oob[sid] = oobRecord{lun: lun, seq: r.next()}
-	delete(r.aliases, sid)
 }
 
 func (r *recoveryLog) noteAlias(sid, lun int64) {
-	r.aliases[sid] = append(r.aliases[sid], oobRecord{lun: lun, seq: r.next()})
+	b := r.block(sid)
+	r.aliases[b] = append(r.aliases[b], aliasRecord{sid: sid, lun: lun, seq: r.next()})
 }
 
 func (r *recoveryLog) noteTrim(first, last int64) {
 	r.trims = append(r.trims, trimExtent{first: first, last: last, seq: r.next()})
 }
 
-func (r *recoveryLog) noteErase(base, slots int64) {
-	for s := base; s < base+slots; s++ {
-		r.oob[s] = oobRecord{}
-		delete(r.aliases, s)
+// noteErase drops every record of block b.
+func (r *recoveryLog) noteErase(b int) {
+	base := int64(b) * r.slotsPerBlock
+	clear(r.oob[base : base+r.slotsPerBlock])
+	r.aliases[b] = r.aliases[b][:0]
+	if r.migrating == b {
+		r.migrating = -1
 	}
+}
+
+// slotAliases returns the alias records of sid, a slot of the block being
+// migrated, as a sub-slice of that block's list. The first call for a block
+// sorts its list by slot; later calls must come for ascending slots and
+// resume where the previous one stopped, so a whole migration costs one
+// sort and one walk.
+func (r *recoveryLog) slotAliases(sid int64) []aliasRecord {
+	b := r.block(sid)
+	list := r.aliases[b]
+	if r.migrating != b {
+		slices.SortStableFunc(list, func(x, y aliasRecord) int { return cmp.Compare(x.sid, y.sid) })
+		r.migrating, r.migrateNext = b, 0
+	}
+	i := r.migrateNext
+	if i > 0 && list[i-1].sid >= sid {
+		panic(fmt.Sprintf("ftl: block %d migrated out of slot order (slot %d after %d)", b, sid, list[i-1].sid))
+	}
+	for i < len(list) && list[i].sid < sid {
+		i++
+	}
+	j := i
+	for j < len(list) && list[j].sid == sid {
+		j++
+	}
+	r.migrateNext = j
+	return list[i:j]
 }
 
 // preserveCopy rewrites newSid's records to carry the sequence numbers of
@@ -81,14 +138,17 @@ func (r *recoveryLog) noteErase(base, slots int64) {
 // new slot (recording its OOB) and only then binds it, and a page program
 // inside that append can trigger GC that migrates the lun's old slot — a
 // fresh-seq copy of stale data would outrank the already-recorded new
-// write on SPOR replay.
-func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
+// write on SPOR replay. newSid was just appended and then shared with
+// shared further luns, so its alias records are the last shared records of
+// its block's list.
+func (r *recoveryLog) preserveCopy(oldSid, newSid int64, shared int) {
+	old := r.slotAliases(oldSid)
 	seqOf := func(lun int64) uint64 {
 		var best uint64
 		if rec := r.oob[oldSid]; rec.seq != 0 && rec.lun == lun {
 			best = rec.seq
 		}
-		for _, a := range r.aliases[oldSid] {
+		for _, a := range old {
 			if a.lun == lun && a.seq > best {
 				best = a.seq
 			}
@@ -100,12 +160,20 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 			r.oob[newSid] = oobRecord{lun: rec.lun, seq: s}
 		}
 	}
-	for i, a := range r.aliases[newSid] {
-		if s := seqOf(a.lun); s != 0 {
-			r.aliases[newSid][i].seq = s
+	list := r.aliases[r.block(newSid)]
+	for i := len(list) - shared; i < len(list); i++ {
+		if list[i].sid != newSid {
+			panic(fmt.Sprintf("ftl: alias record %d of block %d belongs to slot %d, not the copy %d",
+				i, r.block(newSid), list[i].sid, newSid))
+		}
+		if s := seqOf(list[i].lun); s != 0 {
+			list[i].seq = s
 		}
 	}
-	r.clearSlot(oldSid)
+	r.oob[oldSid] = oobRecord{}
+	for i := range old {
+		old[i].seq = 0
+	}
 }
 
 // clearSlot drops one slot's records without assigning a new sequence
@@ -114,7 +182,12 @@ func (r *recoveryLog) preserveCopy(oldSid, newSid int64) {
 // in the bad-block table, which SPOR excludes).
 func (r *recoveryLog) clearSlot(sid int64) {
 	r.oob[sid] = oobRecord{}
-	delete(r.aliases, sid)
+	list := r.aliases[r.block(sid)]
+	for i := range list {
+		if list[i].sid == sid {
+			list[i].seq = 0
+		}
+	}
 }
 
 // noteTransWrite records that physical page pid now holds the live
@@ -215,8 +288,10 @@ func (f *FTL) VerifySPOR() *SPORReport {
 			if rec := f.rlog.oob[sid]; rec.seq != 0 {
 				bind(rec.lun, sid, rec.seq)
 			}
-			for _, rec := range f.rlog.aliases[sid] {
-				bind(rec.lun, sid, rec.seq)
+		}
+		for _, rec := range f.rlog.aliases[b] {
+			if rec.seq != 0 && f.slotPage(rec.sid) < programmed {
+				bind(rec.lun, rec.sid, rec.seq)
 				rep.AliasBindings++
 			}
 		}

@@ -43,7 +43,7 @@ type FTLState struct {
 
 	rlogSeq     uint64
 	rlogOOB     []oobRecord
-	rlogAliases map[int64][]oobRecord
+	rlogAliases [][]aliasRecord // per block, as in recoveryLog
 	rlogTrims   []trimExtent
 	rlogTP      []int64
 
@@ -109,7 +109,7 @@ func (f *FTL) Snapshot() (*FTLState, error) {
 
 		rlogSeq:     f.rlog.seq,
 		rlogOOB:     append([]oobRecord(nil), f.rlog.oob...),
-		rlogAliases: make(map[int64][]oobRecord, len(f.rlog.aliases)),
+		rlogAliases: make([][]aliasRecord, len(f.rlog.aliases)),
 		rlogTrims:   append([]trimExtent(nil), f.rlog.trims...),
 
 		stats: f.stats,
@@ -133,8 +133,10 @@ func (f *FTL) Snapshot() (*FTLState, error) {
 			}
 		}
 	}
-	for sid, recs := range f.rlog.aliases {
-		st.rlogAliases[sid] = append([]oobRecord(nil), recs...)
+	for b, recs := range f.rlog.aliases {
+		if len(recs) > 0 {
+			st.rlogAliases[b] = append([]aliasRecord(nil), recs...)
+		}
 	}
 	if f.fm.enabled {
 		if f.fm.flushing {
@@ -224,10 +226,10 @@ func (f *FTL) Restore(st *FTLState) error {
 
 	f.rlog.seq = st.rlogSeq
 	copy(f.rlog.oob, st.rlogOOB)
-	f.rlog.aliases = make(map[int64][]oobRecord, len(st.rlogAliases))
-	for sid, recs := range st.rlogAliases {
-		f.rlog.aliases[sid] = append([]oobRecord(nil), recs...)
+	for b, recs := range st.rlogAliases {
+		f.rlog.aliases[b] = append(f.rlog.aliases[b][:0], recs...)
 	}
+	f.rlog.migrating = -1
 	f.rlog.trims = append(f.rlog.trims[:0], st.rlogTrims...)
 
 	if f.fm.enabled {

@@ -119,16 +119,16 @@ func TestShardBenchSmoke(t *testing.T) {
 		"results": map[string]any{
 			"offered": rep.Offered, "admitted": rep.Admitted,
 			"shed": rep.Shed, "done": rep.Done,
-			"virtual_makespan":  rep.Elapsed.String(),
-			"wall_seconds":      round3(rep.Wall.Seconds()),
-			"load_wall_seconds": round3(rep.LoadWall.Seconds()),
-			"ops_per_wall_sec":  int64(float64(rep.Done) / rep.Wall.Seconds()),
+			"virtual_makespan":    rep.Elapsed.String(),
+			"wall_seconds":        round3(rep.Wall.Seconds()),
+			"load_wall_seconds":   round3(rep.LoadWall.Seconds()),
+			"ops_per_wall_sec":    int64(float64(rep.Done) / rep.Wall.Seconds()),
 			"heap_sys_growth_mib": round3(float64(after.HeapSys-before.HeapSys) / (1 << 20)),
 			"live_heap_mib":       round3(float64(live.HeapAlloc) / (1 << 20)),
 			"total_alloc_mib":     round3(float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)),
 		},
-		"tenants":    tenants,
-		"shards":     shardRows,
+		"tenants":     tenants,
+		"shards":      shardRows,
 		"determinism": "Rendered reports are byte-identical across shard-parallelism on/off and GOMAXPROCS settings (TestShardedDeterminismMatrix, CI -race -cpu 1,4); multi-core speedup evidence is carried by those GOMAXPROCS-forcing tests since this container is single-core.",
 	}
 	data, err := json.MarshalIndent(report, "", "  ")

@@ -12,15 +12,15 @@ import (
 
 // TenantReport is one tenant's end-to-end accounting, merged across shards.
 type TenantReport struct {
-	Name    string
-	Offered uint64 // arrivals generated
-	Shed    uint64 // rejected by admission control
-	Done    uint64 // completed ops
-	Mean    sim.VTime
-	P50     sim.VTime
-	P99     sim.VTime
-	P999    sim.VTime
-	ReadP99 sim.VTime
+	Name     string
+	Offered  uint64 // arrivals generated
+	Shed     uint64 // rejected by admission control
+	Done     uint64 // completed ops
+	Mean     sim.VTime
+	P50      sim.VTime
+	P99      sim.VTime
+	P999     sim.VTime
+	ReadP99  sim.VTime
 	WriteP99 sim.VTime
 	// SLO accounting: target latency and the fraction of completed ops
 	// that exceeded it (0 when no target is configured).

@@ -32,7 +32,7 @@ func (d *Device) Snapshot() (*DeviceState, error) {
 	}
 	s := &DeviceState{stats: d.stats, bus: d.bus, cpu: d.cpu}
 	if d.cache != nil {
-		s.cacheUnits = make([]int64, 0, len(d.cache.index))
+		s.cacheUnits = make([]int64, 0, d.cache.size)
 		for sl := d.cache.tail; sl >= 0; sl = d.cache.prev[sl] {
 			s.cacheUnits = append(s.cacheUnits, d.cache.units[sl])
 		}
@@ -52,9 +52,7 @@ func (d *Device) Restore(s *DeviceState) {
 	if d.cache != nil {
 		d.cache.reset()
 		for _, u := range s.cacheUnits {
-			sl := d.cache.alloc(u)
-			d.cache.pushFront(sl)
-			d.cache.index[u] = sl
+			d.cache.insert(u)
 		}
 	}
 	// The constructor's tick event was discarded with the engine restore;

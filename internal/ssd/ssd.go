@@ -194,6 +194,9 @@ type Device struct {
 	deallocArmed  bool
 	deallocPaused bool
 
+	// cmdPool holds completed commands for reuse (see command).
+	cmdPool []*command
+
 	stats Stats
 }
 
@@ -209,7 +212,8 @@ func New(eng *sim.Engine, f *ftl.FTL, cfg Config) (*Device, error) {
 		queue: sim.NewSemaphore(eng, cfg.QueueDepth),
 	}
 	if cfg.CacheBytes > 0 {
-		d.cache = newUnitCache(cfg.CacheBytes / int64(f.UnitSize()))
+		unit := int64(f.UnitSize())
+		d.cache = newUnitCache(cfg.CacheBytes/unit, (f.LogicalBytes()+unit-1)/unit)
 	}
 	if cfg.DeallocatorPeriod > 0 {
 		d.startDeallocator()
@@ -247,59 +251,153 @@ func (d *Device) linkTime(n int) sim.VTime {
 	return sim.VTime(uint64(n) * 1000 / uint64(d.cfg.PCIeMBps))
 }
 
+// cmdKind selects what a pooled command does once the device starts it.
+// The three host I/O kinds are decoded inline; cmdOp runs the command's op
+// closure (the rare control-plane commands: trim, CoW, checkpoint).
+type cmdKind uint8
+
+const (
+	cmdOp cmdKind = iota
+	cmdRead
+	cmdWrite
+	cmdFlush
+)
+
+// A command carries one submission through the front end and back end.
+// Commands are pooled per device: the stage callbacks are method values
+// bound once when the command is first made, so a host Read, Write or Flush
+// allocates nothing but the future it returns. A command goes back to the
+// pool when it completes its future, its last step; the kernel holds no
+// reference to it after that.
+type command struct {
+	d    *Device
+	kind cmdKind
+	off  int64
+	n    int64
+	area Area
+	op   func() *sim.Future
+
+	dataBytes int
+	cpuTime   sim.VTime
+	arrival   sim.VTime
+	start     sim.VTime
+	out       *sim.Future
+
+	acquired, started, finished func()
+}
+
+// newCommand takes a command from the pool, or makes one.
+func (d *Device) newCommand() *command {
+	if n := len(d.cmdPool); n > 0 {
+		c := d.cmdPool[n-1]
+		d.cmdPool = d.cmdPool[:n-1]
+		return c
+	}
+	c := &command{d: d}
+	c.acquired = c.onAcquired
+	c.started = c.onStarted
+	c.finished = c.onFinished
+	return c
+}
+
 // submit acquires a queue slot, pays the front-end costs (link transfer of
-// the command plus dataBytes, and controller CPU of cpuTime), then invokes
-// op at the moment the device starts executing the command. op returns the
-// future for the back-end work; the returned future completes when the
-// back-end is done and the queue slot has been released.
-func (d *Device) submit(dataBytes int, cpuTime sim.VTime, op func() *sim.Future) *sim.Future {
-	out := sim.NewFuture(d.eng)
-	arrival := d.eng.Now()
+// the command plus dataBytes, and controller CPU of cpuTime), then starts
+// c's back-end work at the moment the device begins executing the command.
+// The returned future completes when the back-end is done and the queue
+// slot has been released.
+func (d *Device) submit(c *command, dataBytes int, cpuTime sim.VTime) *sim.Future {
+	c.dataBytes = dataBytes
+	c.cpuTime = cpuTime
+	c.out = sim.NewFuture(d.eng)
+	c.arrival = d.eng.Now()
 	d.stats.Commands++
-	d.queue.AcquireAsync(func() {
-		d.stats.QueueWait.add(d.eng.Now() - arrival)
-		_, busEnd := d.bus.Reserve(d.eng.Now(), d.linkTime(d.cfg.CmdBytes+dataBytes))
-		_, cpuEnd := d.cpu.Reserve(d.eng.Now(), d.cfg.CPUPerCommand+cpuTime)
-		ready := busEnd
-		if cpuEnd > ready {
-			ready = cpuEnd
+	d.queue.AcquireAsync(c.acquired) // never runs c.acquired before returning
+	return c.out
+}
+
+// submitOp submits a command whose back-end work is op.
+func (d *Device) submitOp(dataBytes int, cpuTime sim.VTime, op func() *sim.Future) *sim.Future {
+	c := d.newCommand()
+	c.kind = cmdOp
+	c.op = op
+	return d.submit(c, dataBytes, cpuTime)
+}
+
+// onAcquired runs once the command holds a queue slot: it reserves the
+// link and the controller CPU and schedules the start of execution.
+func (c *command) onAcquired() {
+	d := c.d
+	d.stats.QueueWait.add(d.eng.Now() - c.arrival)
+	_, busEnd := d.bus.Reserve(d.eng.Now(), d.linkTime(d.cfg.CmdBytes+c.dataBytes))
+	_, cpuEnd := d.cpu.Reserve(d.eng.Now(), d.cfg.CPUPerCommand+c.cpuTime)
+	ready := busEnd
+	if cpuEnd > ready {
+		ready = cpuEnd
+	}
+	d.eng.At(ready, c.started)
+}
+
+// onStarted runs the back-end work and waits for it.
+func (c *command) onStarted() {
+	c.start = c.d.eng.Now()
+	c.exec().OnComplete(c.finished)
+}
+
+// exec issues the command's back-end work and returns its future.
+func (c *command) exec() *sim.Future {
+	d := c.d
+	switch c.kind {
+	case cmdRead:
+		if d.cacheLookup(c.off, c.n) == 0 {
+			// full cache hit: DRAM access only; completion after the
+			// data crosses the link (accounted in submit's dataBytes)
+			return sim.CompletedFuture(d.eng)
 		}
-		d.eng.At(ready, func() {
-			start := d.eng.Now()
-			inner := op()
-			inner.OnComplete(func() {
-				if d.cfg.CommandTimeout > 0 && d.eng.Now()-start > d.cfg.CommandTimeout {
-					// the command blew its service budget: the host timed it
-					// out and re-drove it, costing an extra backoff before
-					// completion is observed
-					d.stats.Timeouts++
-					d.eng.Schedule(d.cfg.TimeoutBackoff, func() {
-						d.queue.Release()
-						out.Complete()
-					})
-					return
-				}
-				d.queue.Release()
-				out.Complete()
-			})
-		})
-	})
-	return out
+		return d.f.Read(c.off, c.n)
+	case cmdWrite:
+		d.cacheInsert(c.off, c.n)
+		return d.f.Write(c.off, c.n, c.area.tag(), c.area.stream())
+	case cmdFlush:
+		return d.f.Sync(c.area.stream(), c.area.tag())
+	default:
+		op := c.op
+		c.op = nil
+		return op()
+	}
+}
+
+// onFinished runs when the back-end work is done.
+func (c *command) onFinished() {
+	d := c.d
+	if d.cfg.CommandTimeout > 0 && d.eng.Now()-c.start > d.cfg.CommandTimeout {
+		// the command blew its service budget: the host timed it out and
+		// re-drove it, costing an extra backoff before completion is
+		// observed
+		d.stats.Timeouts++
+		d.eng.Schedule(d.cfg.TimeoutBackoff, c.complete) // rare: bound per use
+		return
+	}
+	c.complete()
+}
+
+// complete releases the queue slot, completes the future and returns the
+// command to the pool.
+func (c *command) complete() {
+	d := c.d
+	out := c.out
+	c.out = nil
+	d.cmdPool = append(d.cmdPool, c)
+	d.queue.Release()
+	out.Complete()
 }
 
 // Read services a host read of n bytes at off. Units resident in the DRAM
 // cache are served without flash reads; the rest go to the FTL.
 func (d *Device) Read(off, n int64) *sim.Future {
 	d.stats.HostReadBytes += uint64(n)
-	return d.submit(int(n), 0, func() *sim.Future {
-		miss := d.cacheLookup(off, n)
-		if miss == 0 {
-			// full cache hit: DRAM access only; completion after the
-			// data crosses the link (accounted in submit's dataBytes)
-			return sim.CompletedFuture(d.eng)
-		}
-		return d.f.Read(off, n)
-	})
+	c := d.newCommand()
+	c.kind, c.off, c.n = cmdRead, off, n
+	return d.submit(c, int(n), 0)
 }
 
 // Write services a host write of n bytes at off into the given area. The
@@ -307,24 +405,23 @@ func (d *Device) Read(off, n int64) *sim.Future {
 // require an explicit Flush for buffered tails; see Flush).
 func (d *Device) Write(off, n int64, area Area) *sim.Future {
 	d.stats.HostWriteBytes += uint64(n)
-	return d.submit(int(n), 0, func() *sim.Future {
-		d.cacheInsert(off, n)
-		return d.f.Write(off, n, area.tag(), area.stream())
-	})
+	c := d.newCommand()
+	c.kind, c.off, c.n, c.area = cmdWrite, off, n, area
+	return d.submit(c, int(n), 0)
 }
 
 // Flush forces buffered partial pages of the area's stream to flash — the
 // device-side half of a journal commit (FLUSH/FUA semantics).
 func (d *Device) Flush(area Area) *sim.Future {
-	return d.submit(0, 0, func() *sim.Future {
-		return d.f.Sync(area.stream(), area.tag())
-	})
+	c := d.newCommand()
+	c.kind, c.area = cmdFlush, area
+	return d.submit(c, 0, 0)
 }
 
 // Deallocate trims a logical range (journal deletion after checkpointing).
 func (d *Device) Deallocate(off, n int64) *sim.Future {
 	d.stats.Deallocates++
-	return d.submit(0, 0, func() *sim.Future {
+	return d.submitOp(0, 0, func() *sim.Future {
 		d.cacheInvalidate(off, n)
 		d.f.Trim(off, n)
 		d.cfg.Injector.Hit(inject.SiteDeallocate)
@@ -336,7 +433,7 @@ func (d *Device) Deallocate(off, n int64) *sim.Future {
 // copies the range internally; no data crosses the host link.
 func (d *Device) CoW(src, dst, n int64) *sim.Future {
 	d.stats.CoWPairs++
-	return d.submit(0, d.cfg.CPUPerCoWEntry, func() *sim.Future {
+	return d.submitOp(0, d.cfg.CPUPerCoWEntry, func() *sim.Future {
 		cached := d.cacheLookup(src, n) == 0
 		d.cacheInvalidate(dst, n)
 		cf := d.f.CopyCached(src, dst, n, ftl.TagCheckpoint, cached)
@@ -353,7 +450,7 @@ func (d *Device) MultiCoW(pairs []CoWPair) *sim.Future {
 	d.stats.CoWPairs += uint64(len(pairs))
 	meta := len(pairs) * 24
 	cpu := sim.VTime(len(pairs)) * d.cfg.CPUPerCoWEntry
-	return d.submit(meta, cpu, func() *sim.Future {
+	return d.submitOp(meta, cpu, func() *sim.Future {
 		futs := make([]*sim.Future, 0, len(pairs)+1)
 		for _, p := range pairs {
 			cached := d.cacheLookup(p.Src, p.Len) == 0
@@ -391,7 +488,7 @@ func (d *Device) CheckpointRequest(entries []RemapEntry) (*RemapStats, *sim.Futu
 	d.stats.RemapEntries += uint64(live)
 	meta := len(entries) * 25
 	cpu := sim.VTime(live) * d.cfg.CPUPerRemapEntry
-	fut := d.submit(meta, cpu, func() *sim.Future {
+	fut := d.submitOp(meta, cpu, func() *sim.Future {
 		var futs []*sim.Future
 		for _, e := range entries {
 			if e.Old {
@@ -502,24 +599,72 @@ type unitCache struct {
 	head     int32   // most recently used, -1 when empty
 	tail     int32   // least recently used, -1 when empty
 	freeHead int32   // free-list head, -1 when none
-	index    map[int64]int32
+	// index maps a unit number to 1 + its slot, 0 when not cached. Units
+	// are dense logical addresses, so the index is a slice of pages of
+	// 1<<indexShift units each, allocated on first insert: no hashing on a
+	// host command, and memory only for the regions the host touches.
+	index [][]int32
+	size  int64 // cached units
 }
 
-func newUnitCache(capUnits int64) *unitCache {
+// indexShift sets the index page size: 4096 units (16 KiB) per page.
+const indexShift = 12
+
+func newUnitCache(capUnits, totalUnits int64) *unitCache {
 	if capUnits < 1 {
 		return nil
 	}
-	return &unitCache{capacity: capUnits, head: -1, tail: -1, freeHead: -1, index: make(map[int64]int32)}
+	pages := (totalUnits + 1<<indexShift - 1) >> indexShift
+	return &unitCache{capacity: capUnits, head: -1, tail: -1, freeHead: -1, index: make([][]int32, pages)}
 }
 
-// reset empties the cache, keeping slot-array capacity and map buckets for
+// reset empties the cache, keeping slot-array capacity and index pages for
 // reuse (Restore repopulates immediately after).
 func (c *unitCache) reset() {
+	for s := c.head; s >= 0; s = c.next[s] {
+		c.setIndex(c.units[s], 0)
+	}
 	c.units = c.units[:0]
 	c.next = c.next[:0]
 	c.prev = c.prev[:0]
 	c.head, c.tail, c.freeHead = -1, -1, -1
-	clear(c.index)
+	c.size = 0
+}
+
+// slot returns unit u's slot, if cached.
+func (c *unitCache) slot(u int64) (int32, bool) {
+	pg := c.index[u>>indexShift]
+	if pg == nil {
+		return -1, false
+	}
+	s := pg[u&(1<<indexShift-1)] - 1
+	return s, s >= 0
+}
+
+// setIndex records v (1 + slot, or 0) for unit u.
+func (c *unitCache) setIndex(u int64, v int32) {
+	pg := c.index[u>>indexShift]
+	if pg == nil {
+		pg = make([]int32, 1<<indexShift)
+		c.index[u>>indexShift] = pg
+	}
+	pg[u&(1<<indexShift-1)] = v
+}
+
+// insert caches unit u at the front of the LRU order.
+func (c *unitCache) insert(u int64) {
+	s := c.alloc(u)
+	c.pushFront(s)
+	c.setIndex(u, s+1)
+	c.size++
+}
+
+// remove drops the unit cached in slot s.
+func (c *unitCache) remove(s int32) {
+	c.unlink(s)
+	c.release(s)
+	c.setIndex(c.units[s], 0)
+	c.size--
 }
 
 // alloc returns a slot for unit u, recycling from the free list when
@@ -590,7 +735,7 @@ func (d *Device) cacheLookup(off, n int64) int {
 	first, last := d.unitsOf(off, n)
 	miss := 0
 	for u := first; u <= last; u++ {
-		if s, ok := d.cache.index[u]; ok {
+		if s, ok := d.cache.slot(u); ok {
 			d.cache.moveToFront(s)
 			d.stats.CacheHits++
 		} else {
@@ -607,18 +752,13 @@ func (d *Device) cacheInsert(off, n int64) {
 	}
 	first, last := d.unitsOf(off, n)
 	for u := first; u <= last; u++ {
-		if s, ok := d.cache.index[u]; ok {
+		if s, ok := d.cache.slot(u); ok {
 			d.cache.moveToFront(s)
 			continue
 		}
-		s := d.cache.alloc(u)
-		d.cache.pushFront(s)
-		d.cache.index[u] = s
-		if int64(len(d.cache.index)) > d.cache.capacity {
-			old := d.cache.tail
-			d.cache.unlink(old)
-			delete(d.cache.index, d.cache.units[old])
-			d.cache.release(old)
+		d.cache.insert(u)
+		if d.cache.size > d.cache.capacity {
+			d.cache.remove(d.cache.tail)
 		}
 	}
 }
@@ -629,10 +769,8 @@ func (d *Device) cacheInvalidate(off, n int64) {
 	}
 	first, last := d.unitsOf(off, n)
 	for u := first; u <= last; u++ {
-		if s, ok := d.cache.index[u]; ok {
-			d.cache.unlink(s)
-			d.cache.release(s)
-			delete(d.cache.index, u)
+		if s, ok := d.cache.slot(u); ok {
+			d.cache.remove(s)
 		}
 	}
 }

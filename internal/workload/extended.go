@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/checkin-kv/checkin/internal/sim"
 )
@@ -73,25 +72,6 @@ func (l *Latest) Next(rng *sim.RNG) int64 {
 
 // Name returns "latest".
 func (l *Latest) Name() string { return "latest" }
-
-// rank exposes the un-scrambled Zipfian rank (0 = hottest) for recency use.
-func (z *Zipfian) rank(rng *sim.RNG) int64 {
-	u := rng.Float64()
-	uz := u * z.zetaN
-	var r int64
-	switch {
-	case uz < 1:
-		r = 0
-	case uz < 1+math.Pow(0.5, z.theta):
-		r = 1
-	default:
-		r = int64(float64(z.keys) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	}
-	if r >= z.keys {
-		r = z.keys - 1
-	}
-	return r
-}
 
 // Trace is a recorded operation stream: generate once, replay against any
 // configuration for strictly identical inputs across systems under test.

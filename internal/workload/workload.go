@@ -9,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"github.com/checkin-kv/checkin/internal/sim"
@@ -84,6 +83,8 @@ type Zipfian struct {
 
 	zetaN, zeta2 float64
 	alpha, eta   float64
+	// rank1 is 1 + 0.5^θ: a scaled draw below it (and at least 1) is rank 1.
+	rank1 float64
 }
 
 // DefaultTheta is YCSB's default skew parameter.
@@ -102,6 +103,7 @@ func NewZipfian(n int64, theta float64) *Zipfian {
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetaN)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -115,21 +117,26 @@ func zeta(n int64, theta float64) float64 {
 
 // Next returns a scrambled Zipfian key.
 func (z *Zipfian) Next(rng *sim.RNG) int64 {
+	return scramble(z.rank(rng)) % z.keys
+}
+
+// rank draws the un-scrambled Zipfian rank (0 = hottest).
+func (z *Zipfian) rank(rng *sim.RNG) int64 {
 	u := rng.Float64()
 	uz := u * z.zetaN
-	var rank int64
+	var r int64
 	switch {
 	case uz < 1:
-		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
-		rank = 1
+		r = 0
+	case uz < z.rank1:
+		r = 1
 	default:
-		rank = int64(float64(z.keys) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+		r = int64(float64(z.keys) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 	}
-	if rank >= z.keys {
-		rank = z.keys - 1
+	if r >= z.keys {
+		r = z.keys - 1
 	}
-	return scramble(rank) % z.keys
+	return r
 }
 
 // Name returns "zipfian".
@@ -138,13 +145,13 @@ func (z *Zipfian) Name() string { return "zipfian" }
 // scramble spreads the hottest ranks across the key space, as YCSB does, so
 // hot keys are not physically adjacent.
 func scramble(v int64) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	// FNV-1a over the 8 little-endian bytes of v.
+	h := uint64(14695981039346656037)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h ^= uint64(byte(v >> (8 * i)))
+		h *= 1099511628211
 	}
-	h.Write(buf[:])
-	return int64(h.Sum64() & (1<<62 - 1))
+	return int64(h & (1<<62 - 1))
 }
 
 // Sizer assigns a value size to each key. A key's size is stable across
