@@ -319,10 +319,6 @@ type DB struct {
 	eng    *sim.Engine
 	device *ssd.Device
 	host   HostEngine
-	// engine is the journal backend, nil when Config.Engine selects an
-	// alternate one; Engine() keeps exposing it for journal-specific
-	// inspection.
-	engine *core.Engine
 	tracer *trace.Tracer
 
 	// restPoint is the kernel state at the post-Load quiescent instant —
@@ -550,9 +546,7 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("checkin: %w", err)
 	}
 
-	db := &DB{cfg: cfg, eng: eng, device: device, host: host, tracer: tracer}
-	db.engine, _ = host.(*core.Engine) // nil under alternate backends
-	return db, nil
+	return &DB{cfg: cfg, eng: eng, device: device, host: host, tracer: tracer}, nil
 }
 
 // Config returns the resolved configuration the DB runs with.
@@ -591,10 +585,6 @@ func (db *DB) DurableVersions() []int64 { return db.host.DurableVersions() }
 
 // Host exposes the storage engine behind the backend-agnostic interface.
 func (db *DB) Host() HostEngine { return db.host }
-
-// Engine exposes the journal storage engine for advanced inspection; nil
-// when Config.Engine selects another backend (use Host instead).
-func (db *DB) Engine() *core.Engine { return db.engine }
 
 // Device exposes the simulated SSD.
 func (db *DB) Device() *ssd.Device { return db.device }

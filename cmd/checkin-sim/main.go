@@ -126,8 +126,25 @@ func main() {
 	cfg.CMTFill = *cmtfill
 	cfg.CMTCleanWindow = *cmtcw
 	cfg.RemapBatch = *remapbatch
+	cfg.Compaction = *compaction
+	cfg.MemtableEntries = *memtable
+	cfg.MappingUnit = *unit
+	cfg.LockDuringCheckpoint = *lock
 	cfg = profile.Apply(cfg)
 	if *shards > 0 {
+		// Sharded mode derives its own key space, traffic and report: a
+		// single-stack flag set alongside -shards would be dropped silently.
+		var stackOnly []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "threads", "workload", "distribution", "keys", "recover", "spor", "timeline", "trace",
+				"print-config":
+				stackOnly = append(stackOnly, "-"+f.Name)
+			}
+		})
+		if len(stackOnly) > 0 {
+			fatal(fmt.Errorf("%s: single-stack mode only, not with -shards", strings.Join(stackOnly, ", ")))
+		}
 		runSharded(cfg, *shards, *tenants, *arrival, *cksched, *shardPar,
 			*admitRate, *queries)
 		return
@@ -148,11 +165,7 @@ func main() {
 		fatal(fmt.Errorf("unknown distribution %q", *dist))
 	}
 
-	cfg.Compaction = *compaction
-	cfg.MemtableEntries = *memtable
 	cfg.Keys = *keys
-	cfg.MappingUnit = *unit
-	cfg.LockDuringCheckpoint = *lock
 	if *dumpTrace {
 		cfg.TraceCapacity = 10_000
 	}
@@ -322,7 +335,7 @@ func runCrashpoints(s checkin.Strategy, seed int64, siteName string, hit int, er
 // engine+SSD stacks under open-loop multi-tenant traffic with a cross-shard
 // checkpoint scheduling policy. The rendered report is deterministic; only
 // the trailing wall-time line varies between machines. base is the
-// per-shard stack configuration; shard.Open rejects engines it cannot shard.
+// per-shard stack configuration, for either engine.
 func runSharded(base checkin.Config, shards, tenants int,
 	arrival, cksched, parallel string, admitRate float64, ops int64) {
 	arr, err := shard.ParseArrival(arrival)

@@ -53,7 +53,7 @@ func TestDFTLOptDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					db.Engine().Device().FTL().EnableMapOracle()
+					db.Device().FTL().EnableMapOracle()
 					db.Load()
 					return renderRunOn(t, db, spec)
 				}
@@ -62,7 +62,7 @@ func TestDFTLOptDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					db.Engine().Device().FTL().EnableMapOracle()
+					db.Device().FTL().EnableMapOracle()
 					db.Load()
 					snap, err := db.Snapshot()
 					if err != nil {
@@ -72,7 +72,7 @@ func TestDFTLOptDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fdb.Engine().Device().FTL().EnableMapOracle()
+					fdb.Device().FTL().EnableMapOracle()
 					return renderRunOn(t, fdb, spec)
 				}
 

@@ -17,28 +17,18 @@ import (
 // workload above, the checkpoint strategies, the crash-injection
 // instrument and the verification oracles all speak to the engine through
 // this interface, so backends are interchangeable per Config.Engine and
-// directly comparable on identical inputs.
+// directly comparable on identical inputs. The query and checkpoint half is
+// core.Host, the contract the shared driver (core.Drive), the shard workers
+// and the cross-backend oracle run operations through.
 type HostEngine interface {
+	core.Host
+
 	// Load bulk-populates every record (the YCSB load phase).
 	Load()
-	// Run executes a measured workload phase.
+	// Run executes a measured workload phase under core.Drive.
 	Run(spec core.RunSpec) (*core.Metrics, error)
-
-	// Query operations, called from simulation processes.
-	Get(p *sim.Proc, key int64)
-	Put(p *sim.Proc, key int64, size int)
-	Update(p *sim.Proc, key int64, size int)
-	ReadModifyWrite(p *sim.Proc, key int64, size int)
-	Scan(p *sim.Proc, key int64, n int)
-	Delete(p *sim.Proc, key int64)
 	// Sync blocks until every write issued so far is durable.
 	Sync(p *sim.Proc)
-
-	// TriggerCheckpoint starts a checkpoint cut (journal) or flush epoch
-	// (LSM) unless one is already running; the future completes when the
-	// epoch does.
-	TriggerCheckpoint() *sim.Future
-	CheckpointRunning() bool
 
 	// SetCommitHook observes every (key, version) the instant it becomes
 	// durable — the crash-consistency oracle's model feed.

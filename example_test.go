@@ -83,7 +83,7 @@ func ExampleConfig_sweep() {
 			log.Fatal(err)
 		}
 		fmt.Printf("unit %d: logical capacity %d MB\n",
-			unit, db.Engine().Device().LogicalBytes()>>20)
+			unit, db.Device().LogicalBytes()>>20)
 	}
 	// Output:
 	// unit 512: logical capacity 457 MB

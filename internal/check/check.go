@@ -38,6 +38,7 @@ import (
 	"time"
 
 	checkin "github.com/checkin-kv/checkin"
+	"github.com/checkin-kv/checkin/internal/core"
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/workload"
@@ -485,18 +486,7 @@ func EpochSignatures(strategy checkin.Strategy, seed int64, tr *checkin.Trace, o
 	done := false
 	eng.Go("equivalence-driver", func(p *sim.Proc) {
 		for i, op := range tr.Ops {
-			switch op.Kind {
-			case workload.OpRead:
-				host.Get(p, op.Key)
-			case workload.OpUpdate:
-				host.Update(p, op.Key, op.Size)
-			case workload.OpReadModifyWrite:
-				host.ReadModifyWrite(p, op.Key, op.Size)
-			case workload.OpScan:
-				host.Scan(p, op.Key, op.ScanLen)
-			case workload.OpDelete:
-				host.Delete(p, op.Key)
-			}
+			core.Exec(host, p, op)
 			if (i+1)%epochEvery == 0 {
 				host.Sync(p)
 				p.Wait(host.TriggerCheckpoint())

@@ -6,7 +6,6 @@ import (
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
-	"github.com/checkin-kv/checkin/internal/stats"
 	"github.com/checkin-kv/checkin/internal/trace"
 	"github.com/checkin-kv/checkin/internal/workload"
 )
@@ -187,7 +186,7 @@ func NewEngine(eng *sim.Engine, dev *ssd.Device, cfg Config) (*Engine, error) {
 		durable: make([]int64, cfg.Keys),
 		ckpted:  make([]int64, cfg.Keys),
 		deleted: make([]bool, cfg.Keys),
-		metrics: newMetrics(),
+		metrics: NewMetrics(),
 		rng:     sim.NewRNG(cfg.Seed),
 	}
 	header := cfg.InlineHeaderBytes
@@ -342,9 +341,6 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 	}
 }
 
-// Put is Update under the engine-agnostic host interface's name.
-func (en *Engine) Put(p *sim.Proc, key int64, size int) { en.Update(p, key, size) }
-
 // Sync blocks p until every journal log appended so far is durable — the
 // write-ahead group commits drain. Update already waits for its own commit,
 // so Sync matters only to callers pacing explicit durability epochs (the
@@ -357,12 +353,6 @@ func (en *Engine) Sync(p *sim.Proc) {
 			p.Sleep(sim.Microsecond) // batch buffered behind a checkpoint cut
 		}
 	}
-}
-
-// ReadModifyWrite executes YCSB-F's read-modify-write.
-func (en *Engine) ReadModifyWrite(p *sim.Proc, key int64, size int) {
-	en.Get(p, key)
-	en.Update(p, key, size)
 }
 
 // Scan executes a range read of n consecutive records starting at key
@@ -406,6 +396,16 @@ func (en *Engine) Delete(p *sim.Proc, key int64) {
 
 // CheckpointRunning reports whether a checkpoint is in progress.
 func (en *Engine) CheckpointRunning() bool { return en.ckptRunning }
+
+// CheckpointEpoch advances at every checkpoint start and end.
+func (en *Engine) CheckpointEpoch() uint64 { return en.ckptEpoch }
+
+// BackgroundBusy reports a running checkpoint, the engine's only
+// background work.
+func (en *Engine) BackgroundBusy() bool { return en.ckptRunning }
+
+// LiveEntries returns the active JMT's live-entry count.
+func (en *Engine) LiveEntries() int { return en.jr.JMT().Live() }
 
 // TriggerCheckpoint starts a checkpoint unless one is already running, and
 // returns a future completing when the (possibly already running) checkpoint
@@ -469,200 +469,18 @@ func (en *Engine) TriggerCheckpoint() *sim.Future {
 // ---------------------------------------------------------------------------
 // workload runner
 
-// RunSpec describes one measured workload phase.
-type RunSpec struct {
-	Threads      int
-	TotalQueries int64
-	Mix          workload.Mix
-	// Zipfian selects the key distribution (θ = 0.99) vs uniform.
-	Zipfian bool
-	// Latest selects YCSB's latest distribution (requests skew toward
-	// recently updated keys; pair with WorkloadD). Overrides Zipfian.
-	Latest bool
-	// DisableCheckpoints turns the periodic scheduler off (for baselines
-	// of the motivation study).
-	DisableCheckpoints bool
-
-	// SampleInterval enables timeline sampling at the given period
-	// (windowed throughput, checkpoint activity, die backlog, free
-	// blocks). Zero disables sampling.
-	SampleInterval sim.VTime
-
-	// Trace, when non-nil, replays a recorded operation stream instead of
-	// generating operations: every run sees byte-identical inputs, the
-	// strictest way to compare configurations. TotalQueries caps at the
-	// trace length; Mix and Zipfian are ignored.
-	Trace *workload.Trace
-}
-
-// Validate reports a descriptive error for unusable specs.
-func (rs RunSpec) Validate() error {
-	if rs.Threads < 1 {
-		return fmt.Errorf("core: Threads %d must be >= 1", rs.Threads)
-	}
-	if rs.TotalQueries < 1 {
-		return fmt.Errorf("core: TotalQueries %d must be >= 1", rs.TotalQueries)
-	}
-	if rs.Trace != nil {
-		return nil // mix is ignored under replay
-	}
-	return rs.Mix.Validate()
-}
-
-// Run executes the workload to completion and returns the metrics. The
-// engine may be Run multiple times; metrics cover only the last run.
+// Run executes the workload to completion under the shared driver and
+// returns the metrics. The engine may be Run multiple times; metrics cover
+// only the last run.
 func (en *Engine) Run(spec RunSpec) (*Metrics, error) {
-	if err := spec.Validate(); err != nil {
+	en.metrics = NewMetrics()
+	if err := Drive(en, Stack{Sim: en.eng, Dev: en.dev, Journal: en.jr.Stats,
+		Keys: en.cfg.Keys, Sizer: en.cfg.Sizer, RNG: en.rng,
+		CheckpointInterval: en.cfg.CheckpointInterval,
+		AdaptiveLiveBudget: en.cfg.AdaptiveLiveBudget}, en.metrics, spec); err != nil {
 		return nil, err
 	}
-	en.metrics = newMetrics()
-	m := en.metrics
-	m.start(en)
-
-	var dist workload.Distribution
-	var latest *workload.Latest
-	switch {
-	case spec.Latest:
-		latest = workload.NewLatest(en.cfg.Keys, 1024)
-		dist = latest
-	case spec.Zipfian:
-		dist = workload.NewZipfian(en.cfg.Keys, workload.DefaultTheta)
-	default:
-		dist = workload.Uniform{Keys: en.cfg.Keys}
-	}
-
-	// Under trace replay all clients pull from one shared replayer — the
-	// single-worker simulation makes this race-free and deterministic.
-	var replay *workload.Replayer
-	if spec.Trace != nil {
-		replay = workload.NewReplayer(spec.Trace)
-		if n := int64(len(spec.Trace.Ops)); spec.TotalQueries > n {
-			spec.TotalQueries = n
-		}
-	}
-
-	remaining := spec.TotalQueries
-	clientsLeft := spec.Threads
-	runDone := false
-	var endTime sim.VTime
-
-	for t := 0; t < spec.Threads; t++ {
-		mix := spec.Mix
-		if replay != nil {
-			mix = workload.WorkloadA // unused under replay, must validate
-		}
-		gen, err := workload.NewGenerator(dist, en.cfg.Sizer, mix,
-			en.rng.Split(fmt.Sprintf("client-%d", t)))
-		if err != nil {
-			return nil, err
-		}
-		en.eng.Go(fmt.Sprintf("client-%d", t), func(p *sim.Proc) {
-			for remaining > 0 {
-				remaining--
-				var op workload.Op
-				if replay != nil {
-					op = replay.Next()
-				} else {
-					op = gen.Next()
-				}
-				start := p.Now()
-				epoch0 := en.ckptEpoch
-				switch op.Kind {
-				case workload.OpRead:
-					en.Get(p, op.Key)
-				case workload.OpUpdate:
-					en.Update(p, op.Key, op.Size)
-					if latest != nil {
-						latest.Note(op.Key)
-					}
-				case workload.OpReadModifyWrite:
-					en.ReadModifyWrite(p, op.Key, op.Size)
-				case workload.OpScan:
-					en.Scan(p, op.Key, op.ScanLen)
-				case workload.OpDelete:
-					en.Delete(p, op.Key)
-				}
-				during := en.ckptRunning || en.ckptEpoch != epoch0
-				m.noteQuery(op, p.Now()-start, during)
-			}
-			clientsLeft--
-			if clientsLeft == 0 {
-				endTime = p.Now()
-				runDone = true
-			}
-		})
-	}
-
-	// timeline sampler
-	if spec.SampleInterval > 0 {
-		m.Timeline = stats.NewTimeline("kqps", "ckpt_active", "die_backlog_us", "free_blocks")
-		lastQueries := uint64(0)
-		start := en.eng.Now()
-		var sample func()
-		sample = func() {
-			if runDone {
-				return
-			}
-			now := en.eng.Now()
-			window := spec.SampleInterval.Seconds()
-			qps := float64(m.Queries-lastQueries) / window
-			lastQueries = m.Queries
-			active := 0.0
-			if en.ckptRunning {
-				active = 1
-			}
-			backlog := en.dev.FTL().Array().MaxBacklog(now).Micros()
-			m.Timeline.Sample(uint64(now-start), qps/1e3, active, backlog,
-				float64(en.dev.FTL().FreeBlocks()))
-			en.eng.Schedule(spec.SampleInterval, sample)
-		}
-		en.eng.Schedule(spec.SampleInterval, sample)
-	}
-
-	// periodic checkpoint scheduler (event-based: no leaked process)
-	if !spec.DisableCheckpoints {
-		var tick func()
-		tick = func() {
-			if runDone {
-				return
-			}
-			if !en.ckptRunning {
-				en.TriggerCheckpoint()
-			}
-			en.eng.Schedule(en.cfg.CheckpointInterval, tick)
-		}
-		en.eng.Schedule(en.cfg.CheckpointInterval, tick)
-
-		// bounded-work policy: poll the live-entry count at a fine grain
-		// and checkpoint early whenever the budget is reached
-		if en.cfg.AdaptiveLiveBudget > 0 {
-			period := en.cfg.CheckpointInterval / 16
-			if period == 0 || period > 10*sim.Millisecond {
-				period = 10 * sim.Millisecond
-			}
-			var poll func()
-			poll = func() {
-				if runDone {
-					return
-				}
-				if !en.ckptRunning && en.jr.JMT().Live() >= en.cfg.AdaptiveLiveBudget {
-					en.TriggerCheckpoint()
-				}
-				en.eng.Schedule(period, poll)
-			}
-			en.eng.Schedule(period, poll)
-		}
-	}
-
-	for !runDone {
-		en.eng.RunUntil(en.eng.Now() + 50*sim.Millisecond)
-	}
-	// drain the in-flight checkpoint and any straggling processes
-	for guard := 0; (en.ckptRunning || en.eng.LiveProcs() > 0) && guard < 1_000_000; guard++ {
-		en.eng.RunUntil(en.eng.Now() + 10*sim.Millisecond)
-	}
-	m.finish(en, endTime)
-	return m, nil
+	return en.metrics, nil
 }
 
 // ---------------------------------------------------------------------------

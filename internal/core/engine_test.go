@@ -358,7 +358,7 @@ func TestDisableCheckpoints(t *testing.T) {
 }
 
 func TestMeanHelpers(t *testing.T) {
-	m := newMetrics()
+	m := NewMetrics()
 	if m.MeanCheckpointTime() != 0 || m.MeanLiveRatio() != 0 {
 		t.Error("empty metrics means should be 0")
 	}
@@ -380,7 +380,7 @@ func TestMeanHelpers(t *testing.T) {
 func TestMetricsStreamingNoAllocs(t *testing.T) {
 	// Checkpoint and live-ratio accounting is O(1): arbitrarily long runs
 	// must not grow the metrics. (These used to append to unbounded slices.)
-	m := newMetrics()
+	m := NewMetrics()
 	if a := testing.AllocsPerRun(200, func() {
 		m.noteCheckpoint(3 * sim.Millisecond)
 		m.noteLiveRatio(0.25)

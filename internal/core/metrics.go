@@ -68,17 +68,16 @@ type Metrics struct {
 	JournalEnd   JournalStats
 }
 
-func newMetrics() *Metrics { return &Metrics{} }
-
-// NewMetrics returns an empty collector. Alternate host engines
-// (internal/lsm) construct their own and fill it through the exported
-// window/note methods so every backend reports through one format.
+// NewMetrics returns an empty collector. Drive opens and closes its
+// measured window and records queries; each engine records its own
+// checkpoints through the exported note methods, so every backend reports
+// through one format.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// BeginWindow snapshots device, FTL and flash counters at the start of a
+// beginWindow snapshots device, FTL and flash counters at the start of a
 // measured run. jr carries the journaling-layer counters at the same
 // instant (an LSM backend reports its WAL counters through the same shape).
-func (m *Metrics) BeginWindow(dev *ssd.Device, jr JournalStats, now sim.VTime) {
+func (m *Metrics) beginWindow(dev *ssd.Device, jr JournalStats, now sim.VTime) {
 	m.startDev = dev.Stats()
 	m.startFtl = dev.FTL().Stats()
 	m.startNand = dev.FTL().Array().Stats()
@@ -86,8 +85,8 @@ func (m *Metrics) BeginWindow(dev *ssd.Device, jr JournalStats, now sim.VTime) {
 	m.startTime = now
 }
 
-// EndWindow closes the measured window opened by BeginWindow.
-func (m *Metrics) EndWindow(dev *ssd.Device, jr JournalStats, endTime sim.VTime) {
+// endWindow closes the measured window opened by beginWindow.
+func (m *Metrics) endWindow(dev *ssd.Device, jr JournalStats, endTime sim.VTime) {
 	m.EndDev = dev.Stats()
 	m.EndFtl = dev.FTL().Stats()
 	m.EndNand = dev.FTL().Array().Stats()
@@ -97,24 +96,11 @@ func (m *Metrics) EndWindow(dev *ssd.Device, jr JournalStats, endTime sim.VTime)
 	}
 }
 
-// NoteQuery records one finished query (exported for alternate engines).
-func (m *Metrics) NoteQuery(op workload.Op, lat sim.VTime, duringCkpt bool) {
-	m.noteQuery(op, lat, duringCkpt)
-}
-
 // NoteCheckpoint records one finished checkpoint's duration.
 func (m *Metrics) NoteCheckpoint(d sim.VTime) { m.noteCheckpoint(d) }
 
 // NoteLiveRatio records a live-entry ratio sample at a checkpoint.
 func (m *Metrics) NoteLiveRatio(r float64) { m.noteLiveRatio(r) }
-
-func (m *Metrics) start(en *Engine) {
-	m.BeginWindow(en.dev, en.jr.Stats(), en.eng.Now())
-}
-
-func (m *Metrics) finish(en *Engine, endTime sim.VTime) {
-	m.EndWindow(en.dev, en.jr.Stats(), endTime)
-}
 
 func (m *Metrics) noteQuery(op workload.Op, lat sim.VTime, duringCkpt bool) {
 	m.Queries++

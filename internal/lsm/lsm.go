@@ -43,7 +43,6 @@ import (
 	"github.com/checkin-kv/checkin/internal/inject"
 	"github.com/checkin-kv/checkin/internal/sim"
 	"github.com/checkin-kv/checkin/internal/ssd"
-	"github.com/checkin-kv/checkin/internal/stats"
 	"github.com/checkin-kv/checkin/internal/trace"
 	"github.com/checkin-kv/checkin/internal/workload"
 )
@@ -484,15 +483,6 @@ func (en *Engine) Update(p *sim.Proc, key int64, size int) {
 	p.Wait(commit)
 }
 
-// Put is Update under the host interface's name.
-func (en *Engine) Put(p *sim.Proc, key int64, size int) { en.Update(p, key, size) }
-
-// ReadModifyWrite executes YCSB-F's read-modify-write.
-func (en *Engine) ReadModifyWrite(p *sim.Proc, key int64, size int) {
-	en.Get(p, key)
-	en.Update(p, key, size)
-}
-
 // Scan executes a range read of n consecutive records starting at key: one
 // sequential read over the range in the bottom run, plus individual reads
 // for keys whose newest version lives in an upper run (memtable hits are
@@ -564,6 +554,15 @@ func (en *Engine) Sync(p *sim.Proc) {
 
 // CheckpointRunning reports whether a flush epoch is in progress.
 func (en *Engine) CheckpointRunning() bool { return en.flushRunning }
+
+// CheckpointEpoch advances at every flush epoch's start and end.
+func (en *Engine) CheckpointEpoch() uint64 { return en.ckptEpoch }
+
+// BackgroundBusy reports a running flush epoch or compaction.
+func (en *Engine) BackgroundBusy() bool { return en.flushRunning || en.compacting }
+
+// LiveEntries returns the active memtable's distinct key count.
+func (en *Engine) LiveEntries() int { return len(en.mem) }
 
 // TriggerCheckpoint starts a flush epoch unless one is already running:
 // seal the memtable, drain the sealed WAL half, install the sorted run via
@@ -798,154 +797,17 @@ func (en *Engine) publishManifest(p *sim.Proc, floor int64) {
 // ---------------------------------------------------------------------------
 // workload runner
 
-// Run executes the workload to completion and returns the metrics. Mirrors
-// the journal engine's runner loop (clients, timeline sampler, periodic
-// checkpoint scheduler, drain) so both backends measure identically.
+// Run executes the workload to completion under the shared driver
+// (core.Drive), so both backends measure identically.
 func (en *Engine) Run(spec core.RunSpec) (*core.Metrics, error) {
-	if err := spec.Validate(); err != nil {
+	en.metrics = core.NewMetrics()
+	if err := core.Drive(en, core.Stack{Sim: en.eng, Dev: en.dev, Journal: en.w.Stats,
+		Keys: en.cfg.Keys, Sizer: en.cfg.Sizer, RNG: en.rng,
+		CheckpointInterval: en.cfg.CheckpointInterval,
+		AdaptiveLiveBudget: en.cfg.AdaptiveLiveBudget}, en.metrics, spec); err != nil {
 		return nil, err
 	}
-	en.metrics = core.NewMetrics()
-	m := en.metrics
-	m.BeginWindow(en.dev, en.w.Stats(), en.eng.Now())
-
-	var dist workload.Distribution
-	var latest *workload.Latest
-	switch {
-	case spec.Latest:
-		latest = workload.NewLatest(en.cfg.Keys, 1024)
-		dist = latest
-	case spec.Zipfian:
-		dist = workload.NewZipfian(en.cfg.Keys, workload.DefaultTheta)
-	default:
-		dist = workload.Uniform{Keys: en.cfg.Keys}
-	}
-
-	var replay *workload.Replayer
-	if spec.Trace != nil {
-		replay = workload.NewReplayer(spec.Trace)
-		if n := int64(len(spec.Trace.Ops)); spec.TotalQueries > n {
-			spec.TotalQueries = n
-		}
-	}
-
-	remaining := spec.TotalQueries
-	clientsLeft := spec.Threads
-	runDone := false
-	var endTime sim.VTime
-
-	for t := 0; t < spec.Threads; t++ {
-		mix := spec.Mix
-		if replay != nil {
-			mix = workload.WorkloadA // unused under replay, must validate
-		}
-		gen, err := workload.NewGenerator(dist, en.cfg.Sizer, mix,
-			en.rng.Split(fmt.Sprintf("client-%d", t)))
-		if err != nil {
-			return nil, err
-		}
-		en.eng.Go(fmt.Sprintf("client-%d", t), func(p *sim.Proc) {
-			for remaining > 0 {
-				remaining--
-				var op workload.Op
-				if replay != nil {
-					op = replay.Next()
-				} else {
-					op = gen.Next()
-				}
-				start := p.Now()
-				epoch0 := en.ckptEpoch
-				switch op.Kind {
-				case workload.OpRead:
-					en.Get(p, op.Key)
-				case workload.OpUpdate:
-					en.Update(p, op.Key, op.Size)
-					if latest != nil {
-						latest.Note(op.Key)
-					}
-				case workload.OpReadModifyWrite:
-					en.ReadModifyWrite(p, op.Key, op.Size)
-				case workload.OpScan:
-					en.Scan(p, op.Key, op.ScanLen)
-				case workload.OpDelete:
-					en.Delete(p, op.Key)
-				}
-				during := en.flushRunning || en.ckptEpoch != epoch0
-				m.NoteQuery(op, p.Now()-start, during)
-			}
-			clientsLeft--
-			if clientsLeft == 0 {
-				endTime = p.Now()
-				runDone = true
-			}
-		})
-	}
-
-	if spec.SampleInterval > 0 {
-		m.Timeline = stats.NewTimeline("kqps", "ckpt_active", "die_backlog_us", "free_blocks")
-		lastQueries := uint64(0)
-		start := en.eng.Now()
-		var sample func()
-		sample = func() {
-			if runDone {
-				return
-			}
-			now := en.eng.Now()
-			window := spec.SampleInterval.Seconds()
-			qps := float64(m.Queries-lastQueries) / window
-			lastQueries = m.Queries
-			active := 0.0
-			if en.flushRunning {
-				active = 1
-			}
-			backlog := en.dev.FTL().Array().MaxBacklog(now).Micros()
-			m.Timeline.Sample(uint64(now-start), qps/1e3, active, backlog,
-				float64(en.dev.FTL().FreeBlocks()))
-			en.eng.Schedule(spec.SampleInterval, sample)
-		}
-		en.eng.Schedule(spec.SampleInterval, sample)
-	}
-
-	if !spec.DisableCheckpoints {
-		var tick func()
-		tick = func() {
-			if runDone {
-				return
-			}
-			if !en.flushRunning {
-				en.TriggerCheckpoint()
-			}
-			en.eng.Schedule(en.cfg.CheckpointInterval, tick)
-		}
-		en.eng.Schedule(en.cfg.CheckpointInterval, tick)
-
-		if en.cfg.AdaptiveLiveBudget > 0 {
-			period := en.cfg.CheckpointInterval / 16
-			if period == 0 || period > 10*sim.Millisecond {
-				period = 10 * sim.Millisecond
-			}
-			var poll func()
-			poll = func() {
-				if runDone {
-					return
-				}
-				if !en.flushRunning && len(en.mem) >= en.cfg.AdaptiveLiveBudget {
-					en.TriggerCheckpoint()
-				}
-				en.eng.Schedule(period, poll)
-			}
-			en.eng.Schedule(period, poll)
-		}
-	}
-
-	for !runDone {
-		en.eng.RunUntil(en.eng.Now() + 50*sim.Millisecond)
-	}
-	for guard := 0; (en.flushRunning || en.compacting || en.eng.LiveProcs() > 0) && guard < 1_000_000; guard++ {
-		en.eng.RunUntil(en.eng.Now() + 10*sim.Millisecond)
-	}
-	m.EndWindow(en.dev, en.w.Stats(), endTime)
-	return m, nil
+	return en.metrics, nil
 }
 
 // ---------------------------------------------------------------------------

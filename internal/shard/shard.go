@@ -60,7 +60,8 @@ type Config struct {
 	// the derived dense per-shard namespace; everything else (strategy,
 	// geometry, checkpoint interval, error profile, domains) applies to
 	// every shard identically — which is what lets one load snapshot fork
-	// all N stacks. Engine must be the journal engine ("" or "journal").
+	// all N stacks. Either engine ("journal" or "lsm") shards: the workers
+	// reach it only through the core.Host contract.
 	Base checkin.Config
 	// Arrival is the open-loop traffic model. Tenants must be set (see
 	// DefaultTenants).
@@ -143,9 +144,6 @@ func (c Config) Validate() error {
 	}
 	if c.AdmitRatePerSec < 0 {
 		return fmt.Errorf("shard: AdmitRatePerSec %v must be >= 0", c.AdmitRatePerSec)
-	}
-	if e := c.Base.Engine; e != "" && e != "journal" {
-		return fmt.Errorf("shard: Base.Engine %q cannot be sharded (only the journal engine can)", e)
 	}
 	return c.Arrival.Validate()
 }

@@ -174,7 +174,7 @@ func TestSnapshotForkCrashConsistency(t *testing.T) {
 		if spor := db.SimulateSPOR(); spor.Mismatches != 0 {
 			t.Errorf("%v: SPOR rebuild of forked state lost durable state: %v", s, spor)
 		}
-		if err := db.Engine().Device().FTL().CheckInvariants(); err != nil {
+		if err := db.Device().FTL().CheckInvariants(); err != nil {
 			t.Errorf("%v: FTL invariants violated on forked state: %v", s, err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestSnapshotForkDegradedDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fork.Engine().Device().FTL().CheckInvariants(); err != nil {
+	if err := fork.Device().FTL().CheckInvariants(); err != nil {
 		t.Fatalf("restored degraded device violates FTL invariants: %v", err)
 	}
 	if got, want := fork.Health(), db.Health(); got != want {
@@ -291,7 +291,7 @@ func TestSnapshotForkDegradedDevice(t *testing.T) {
 	if want := directRun(t, cfg, spec); got != want {
 		t.Errorf("forked degraded run diverged from direct run:\n--- fork ---\n%s\n--- direct ---\n%s", got, want)
 	}
-	if err := fork.Engine().Device().FTL().CheckInvariants(); err != nil {
+	if err := fork.Device().FTL().CheckInvariants(); err != nil {
 		t.Errorf("degraded device violates FTL invariants after forked run: %v", err)
 	}
 }
